@@ -1,6 +1,7 @@
 """E9 — regenerate the §III-A codec comparison on real trace corpora."""
 
 import repro.harness.experiments as E
+from repro.common.config import SwordConfig
 from repro.sword.compression import by_name
 
 
@@ -26,6 +27,6 @@ def test_e9_codecs(benchmark, save_result):
 def test_e9_compress_throughput_kernels(benchmark):
     """Micro: default-codec compression of one flush buffer."""
     corpus = E.codec_compare.trace_corpus("c_jacobi01", nthreads=8)
-    codec = by_name("lzrle")
+    codec = by_name(SwordConfig().codec)
     result = benchmark(lambda: codec.compress(corpus))
     assert result is not None

@@ -2,8 +2,8 @@
 
 Online leg: ``c_arraysweep`` is a dense static-scheduled sweep whose scalar
 and columnar variants emit structurally identical traces (reads then writes
-per chunk, per sweep).  With a C-speed codec the per-event Python overhead
-dominates the scalar run, which is exactly what ``append_access_batch``
+per chunk, per sweep).  With the default C-speed codec the per-event Python
+overhead dominates the scalar run, which is exactly what ``append_access_batch``
 eliminates: one slice assignment per access site per loop nest.
 
 Offline leg: the coalescer hands ``IntervalTree.build_from_sorted`` an
@@ -37,10 +37,11 @@ REPEATS = 3
 TREE_N = 20_000
 TREE_TARGET = 2.0
 
-# A C-speed codec and a buffer wide enough to hold the run: the timing
-# then isolates the event-emission path the batching optimises, not the
-# (shared) compression cost.
-CONFIG = dict(codec="zlib", buffer_events=65536)
+# A buffer wide enough to hold the run: the timing then isolates the
+# event-emission path the batching optimises.  Static pre-screening is off
+# because it proves every c_arraysweep site free and would elide the very
+# events being timed.
+CONFIG = dict(buffer_events=65536, static_prescreen=False)
 
 
 def _run(batched: int, *, offline: bool = False):

@@ -65,7 +65,13 @@ class SwordConfig:
         aux_bytes: OMPT + thread-local auxiliary storage charged per thread.
         codec: trace compression codec name (see
             :mod:`repro.sword.compression.registry`); the paper compared LZO,
-            Snappy and LZ4 and found them equivalent, settling on LZO.
+            Snappy and LZ4 and found them equivalent, settling on LZO.  The
+            default, ``"zlib"`` (DEFLATE at level 1), is the LZ77-family
+            stand-in for LZO: it runs at C speed, so a flush stays cheap.
+            ``"lzrle"``, the pure-Python byte-RLE codec that used to be the
+            default, stays registered for experiment E9 and for reading
+            older traces; each frame header names its own codec, so
+            readers mix codecs freely.
         delta_filter: precondition flushed blocks with the per-column delta
             filter (:mod:`repro.sword.compression.filters`) before the
             codec.  The filter id travels in each v2 frame header, so
@@ -98,7 +104,7 @@ class SwordConfig:
     buffer_events: int = SWORD_BUFFER_EVENTS
     buffer_bytes: int = SWORD_BUFFER_BYTES
     aux_bytes: int = SWORD_AUX_BYTES
-    codec: str = "lzrle"
+    codec: str = "zlib"
     delta_filter: bool = False
     log_dir: str = ""
     durable: bool = False

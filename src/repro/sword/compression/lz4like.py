@@ -13,7 +13,7 @@ Python, it trades speed for faithfulness to the format's *ratio* behaviour.
 from __future__ import annotations
 
 from ...common.errors import CodecError
-from .base import Codec
+from .base import Codec, check_room
 
 _MIN_MATCH = 4
 _HASH_LOG = 14
@@ -130,6 +130,7 @@ class Lz4LikeCodec(Codec):
                         break
             if pos + lit_len > n:
                 raise CodecError("truncated literals")
+            check_room(len(out), lit_len, expected_size)
             out += data[pos : pos + lit_len]
             pos += lit_len
             if pos >= n:
@@ -154,6 +155,7 @@ class Lz4LikeCodec(Codec):
             start = len(out) - offset
             if start < 0:
                 raise CodecError("match offset before block start")
+            check_room(len(out), match_len, expected_size)
             for i in range(match_len):  # byte-wise: overlapping copies allowed
                 out.append(out[start + i])
         if len(out) != expected_size:

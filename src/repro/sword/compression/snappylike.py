@@ -11,7 +11,7 @@ data (experiment E9).
 from __future__ import annotations
 
 from ...common.errors import CodecError
-from .base import Codec
+from .base import Codec, check_room
 
 _TAG_LITERAL = 0
 _TAG_COPY1 = 1  # 3-byte element: offsets < 2048, lengths 4..11
@@ -148,6 +148,7 @@ class SnappyLikeCodec(Codec):
                     pos += nbytes
                 if pos + length > n:
                     raise CodecError("truncated literal body")
+                check_room(len(out), length, total)
                 out += data[pos : pos + length]
                 pos += length
             elif kind == _TAG_COPY1:
@@ -156,14 +157,14 @@ class SnappyLikeCodec(Codec):
                 length = ((tag >> 2) & 0x07) + 4
                 offset = ((tag >> 5) << 8) | data[pos]
                 pos += 1
-                self._copy(out, offset, length)
+                self._copy(out, offset, length, total)
             elif kind == _TAG_COPY2:
                 if pos + 2 > n:
                     raise CodecError("truncated copy2")
                 length = (tag >> 2) + 1
                 offset = data[pos] | (data[pos + 1] << 8)
                 pos += 2
-                self._copy(out, offset, length)
+                self._copy(out, offset, length, total)
             else:
                 raise CodecError("copy4 elements are not emitted by this codec")
         if len(out) != expected_size:
@@ -173,9 +174,10 @@ class SnappyLikeCodec(Codec):
         return bytes(out)
 
     @staticmethod
-    def _copy(out: bytearray, offset: int, length: int) -> None:
+    def _copy(out: bytearray, offset: int, length: int, total: int) -> None:
         start = len(out) - offset
         if start < 0 or offset == 0:
             raise CodecError("invalid copy offset")
+        check_room(len(out), length, total)
         for i in range(length):
             out.append(out[start + i])

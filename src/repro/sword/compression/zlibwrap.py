@@ -1,4 +1,4 @@
-"""Stdlib zlib as the C-speed reference codec."""
+"""Stdlib zlib: the default trace codec (the C-speed stand-in for LZO)."""
 
 from __future__ import annotations
 
@@ -23,10 +23,19 @@ class ZlibCodec(Codec):
         return zlib.compress(data, self.level)
 
     def decompress(self, data: bytes, expected_size: int) -> bytes:
+        inflater = zlib.decompressobj()
         try:
-            out = zlib.decompress(data)
+            # Bounded: never produce more than the frame declares (a
+            # max_length of 0 means "unbounded", so an empty block gets 1).
+            out = inflater.decompress(data, expected_size or 1)
         except zlib.error as exc:
             raise CodecError(f"zlib: {exc}") from exc
+        if not inflater.eof:
+            raise CodecError(
+                f"zlib: stream truncated or longer than {expected_size} bytes"
+            )
+        if inflater.unconsumed_tail or inflater.unused_data:
+            raise CodecError("zlib: trailing bytes after the stream")
         if len(out) != expected_size:
             raise CodecError(
                 f"decompressed {len(out)} bytes, expected {expected_size}"

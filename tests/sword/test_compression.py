@@ -1,5 +1,8 @@
 """Compression codecs: registry, roundtrips, malformed input handling."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,3 +107,64 @@ def test_snappy_header_mismatch_detected():
     compressed = codec.compress(b"abcdef")
     with pytest.raises(CodecError):
         codec.decompress(compressed, 7)
+
+
+# -- decompression is bounded by the frame's declared size -------------------
+
+#: Declared (frame-header) size of every crafted block below.
+DECLARED = 64
+#: What each crafted block would inflate to if decoded without a bound.
+BOMB = 16 * 2**20
+
+
+def _zlib_bomb() -> bytes:
+    deflate = zlib.compressobj(9)
+    chunk = bytes(2**20)
+    parts = [deflate.compress(chunk) for _ in range(BOMB // len(chunk))]
+    return b"".join(parts) + deflate.flush()
+
+
+def _lsic(value: int) -> bytes:
+    return b"\xff" * (value // 255) + bytes([value % 255])
+
+
+#: Crafted payloads that expand far past DECLARED bytes, keyed by codec.
+BOMBS = {
+    # One run token: 0x01 <varint BOMB> <byte>.
+    "lzrle": bytes([0x01, 0x80, 0x80, 0x80, 0x08, 0x00]),
+    # One literal, then a BOMB-byte overlapping match at offset 1.
+    "lz4": bytes([0x1F, 0x41, 0x01, 0x00]) + _lsic(BOMB - 4 - 15),
+    # Honest header, one literal, then 64-byte copies at offset 1.
+    "snappy": bytes([DECLARED, 0x00, 0x41])
+    + bytes([(63 << 2) | 2, 0x01, 0x00]) * (BOMB // 64),
+    "zlib": _zlib_bomb(),
+}
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+def test_oversize_block_rejected_before_allocating(codec):
+    payload = BOMBS[codec.name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError):
+            codec.decompress(payload, DECLARED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{codec.name} allocated {peak} bytes"
+
+
+def test_zlib_truncated_stream_rejected():
+    codec = ZlibCodec()
+    data = bytes(range(256)) * 64
+    compressed = codec.compress(data)
+    for cut in (1, len(compressed) // 2, len(compressed) - 1):
+        with pytest.raises(CodecError):
+            codec.decompress(compressed[:cut], len(data))
+
+
+def test_zlib_trailing_bytes_rejected():
+    codec = ZlibCodec()
+    compressed = codec.compress(b"abc" * 100)
+    with pytest.raises(CodecError):
+        codec.decompress(compressed + b"\x00", 300)
